@@ -38,8 +38,9 @@ func text(fn func(scale exp.Scale, seed int64) string) func(exp.Scale, int64) (s
 }
 
 // experiments builds the registry. workers sets the trial-level
-// parallelism of the fleet sweeps (1 = sequential; results are
-// byte-identical for every value).
+// parallelism of the fleet and fleet-verified sweeps (1 = sequential;
+// results are byte-identical for every value); the other experiments
+// ignore it.
 func experiments(workers int) []experiment {
 	return []experiment{
 		{"table2", "LossRadar requirements vs switch capabilities (§2.3)",
@@ -124,7 +125,7 @@ func main() {
 		full      = flag.Bool("full", false, "paper-scale parameters (slow)")
 		seed      = flag.Int64("seed", 20220822, "random seed")
 		benchJSON = flag.String("bench-json", "", "write benchmark cells (TTL medians + wall-clock) to this JSON file")
-		workers   = flag.Int("workers", 1, "trial-level parallelism of the fleet sweeps (same results at any value)")
+		workers   = flag.Int("workers", 1, "trial-level parallelism of the fleet and fleet-verified sweeps (same results at any value)")
 	)
 	flag.Parse()
 	if *workers < 1 {

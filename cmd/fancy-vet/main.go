@@ -8,7 +8,6 @@
 //	lockedcallback  no callback invocation while the receiver's mutex is held
 //	poolsafe        no use of a pooled object after Put, no double Put, no Put after escape
 //	borrowescape    no UnmarshalInto scratch alias escaping the borrowing function
-//	shardsafe       no cross-shard writes from shard callbacks that bypass the barrier merge
 //
 // Usage:
 //

@@ -6,6 +6,7 @@ import (
 
 	"fancy/internal/netsim"
 	"fancy/internal/sim"
+	"fancy/internal/topo"
 )
 
 func TestTable2Renders(t *testing.T) {
@@ -453,6 +454,38 @@ func TestFleetAbileneQuick(t *testing.T) {
 	out := r.Render()
 	if !strings.Contains(out, "exact localization: 3/3") {
 		t.Fatalf("unexpected render:\n%s", out)
+	}
+}
+
+// TestFleetChaosDeposedLeaderServesNothing replays replica3+leaderkill
+// trials in which the first successor is deposed and keeps acting for the
+// fleet until a new leader takes over. Nothing it commits in between
+// reaches the log, so the takeover restores an older entry:
+//   - 3008 denver->sunnyvale: the deposed replica announced a verdict,
+//     and the restored evidence window announced it a second time;
+//   - 144712528 denver->seattle: it acknowledged the only alarm, which the
+//     restore lost; the agent's degraded reroute then hid the failure, so
+//     the link was never localized.
+func TestFleetChaosDeposedLeaderServesNothing(t *testing.T) {
+	cfg := fleetChaosConfigs()[3]
+	if cfg.Name != "replica3+leaderkill" {
+		t.Fatalf("config 3 is %s, want replica3+leaderkill", cfg.Name)
+	}
+	for _, tc := range []struct {
+		seed int64
+		dl   topo.DirectedLink
+	}{
+		{3008, topo.DirectedLink{From: "denver", To: "sunnyvale"}},
+		{144712528, topo.DirectedLink{From: "denver", To: "seattle"}},
+	} {
+		row := fleetChaosTrial(tc.seed, tc.dl, 5*sim.Second, cfg)
+		if row.Failovers < 2 {
+			t.Errorf("%d %s: %d failovers, want a re-election; pick another replay", tc.seed, tc.dl, row.Failovers)
+			continue
+		}
+		if !row.Exact || row.Verdicts != 1 {
+			t.Errorf("%d %s: exact=%v verdicts=%d, want exactly one verdict", tc.seed, tc.dl, row.Exact, row.Verdicts)
+		}
 	}
 }
 

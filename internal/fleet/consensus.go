@@ -32,7 +32,10 @@ package fleet
 //     machine; takeover halts the previous incarnation's timers, restores
 //     from the best accepted entry and re-aims f.mgmtSrv, which excludes
 //     split-brain by construction. Deposed or non-active replicas answer
-//     agent traffic with redirects instead of consuming it.
+//     agent traffic with redirects instead of consuming it. That includes
+//     a deposed leader that stays active until a successor takes over; it
+//     also announces no verdicts, because the takeover restores from the
+//     log, which holds nothing committed after the ballot was lost.
 
 import (
 	"fmt"
@@ -205,8 +208,9 @@ func (r *replica) sendTo(peer int, m *consMsg) {
 }
 
 // intercept sees every datagram reaching this replica's server: consensus
-// traffic is consumed here, and agent traffic reaching a non-active replica
-// is answered with a redirect to the believed leader.
+// traffic is consumed here, and agent traffic reaching any replica but the
+// leading active one is answered with a redirect to the believed leader.
+// The agent keeps the report in flight until a leader acknowledges it.
 func (r *replica) intercept(d mgmt.Dgram) bool {
 	switch d.Kind {
 	case mgmt.DgramConsensus:
@@ -223,7 +227,7 @@ func (r *replica) intercept(d mgmt.Dgram) bool {
 		r.handle(m, int(m.From))
 		return true
 	case mgmt.DgramReport, mgmt.DgramHeartbeat:
-		if r.g.active == r.id && !r.g.f.crashed {
+		if r.g.leader() == r {
 			return false // I am the leader: serve it normally
 		}
 		r.g.f.mgmtNet.Send(mgmt.Dgram{From: r.name, To: d.From, Kind: mgmt.DgramRedirect,

@@ -444,6 +444,16 @@ func (f *Fleet) finishVerdict(ls *linkState) {
 		})
 		return
 	}
+	if f.group != nil && f.group.leader() == nil {
+		// The active replica lost its ballot and no successor has taken
+		// over yet. Nothing committed now reaches the log, so the next
+		// takeover restores an older entry, re-opens this window and
+		// localizes again at a later time: announcing here would announce
+		// the verdict twice. Leave it exactly as a leader deposed before
+		// its commit quorum would — localized, evidence attached — for the
+		// next leader to finish or re-derive.
+		return
+	}
 	f.announceLocalized(ls, detail)
 	f.persist() // a confirmed verdict must survive any later crash
 }

@@ -2,10 +2,10 @@
 // forward worklist fixpoint over per-variable facts.
 //
 // The PR 4 analyzers are syntactic pattern matchers; the PR 9 sim-core
-// idioms (pooled packets/events, borrow-semantics decode scratch, sharded
-// parallel scheduling) have PATH-sensitive contracts — "a packet must not
-// be used after Put *along any execution path*", "the scratch must not be
-// referenced after the borrowing function returns". This file gives the
+// idioms (pooled packets/events, borrow-semantics decode scratch) have
+// PATH-sensitive contracts — "a packet must not be used after Put *along
+// any execution path*", "the scratch must not be referenced after the
+// borrowing function returns". This file gives the
 // analyzers an SSA-lite substrate for those checks:
 //
 //   - buildCFG turns one function body into basic blocks of "simple" nodes

@@ -1,5 +1,5 @@
 // Mini event engine mirroring internal/sim's scheduling surface, so the
-// poolsafe and shardsafe fixtures can exercise recognition of Sim methods.
+// poolsafe fixtures can exercise recognition of Sim methods.
 package sim
 
 // Time is simulated time.
@@ -7,26 +7,14 @@ type Time int64
 
 // Sim is the fixture stand-in for the simulator core.
 type Sim struct {
-	now    Time
-	shards []*Sim
+	now Time
 }
 
-// New returns a root simulator.
+// New returns a simulator.
 func New() *Sim { return &Sim{} }
 
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
-
-// Shards returns n per-shard scheduling views.
-func (s *Sim) Shards(n int) []*Sim {
-	for len(s.shards) < n {
-		s.shards = append(s.shards, &Sim{})
-	}
-	return s.shards[:n]
-}
-
-// Shard returns the i'th shard view.
-func (s *Sim) Shard(i int) *Sim { return s.Shards(i + 1)[i] }
 
 // At runs fn at absolute time at.
 func (s *Sim) At(at Time, fn func()) { fn() }
@@ -36,6 +24,3 @@ func (s *Sim) After(delay Time, fn func()) { fn() }
 
 // Schedule runs fn after delay.
 func (s *Sim) Schedule(delay Time, fn func()) { fn() }
-
-// CrossAt hands fn to dst's lane at time at, after the window barrier.
-func (s *Sim) CrossAt(dst *Sim, at Time, fn func()) { fn() }

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"fancy/internal/sim"
@@ -188,62 +190,44 @@ func (n *dropNode) Receive(pkt *Packet, port int) {
 	}
 }
 
-// TestConnectOnShardedTranscript runs the same two-node ping-pong workload
-// on the classic engine and on the sharded parallel engine (one node per
-// shard, the link crossing shards via ConnectOn) and requires identical
-// delivery times on both.
-func TestConnectOnShardedTranscript(t *testing.T) {
-	run := func(workers int) []sim.Time {
-		s := sim.New(7)
-		var times []sim.Time
-		const delay = 2 * sim.Millisecond
-		if workers > 0 {
-			s.SetParallel(workers, delay)
-			shards := s.Shards(2)
-			a := &sinkNode{name: "a", s: shards[0]}
-			b := &bouncer{times: &times, s: shards[1]}
-			ConnectOn(shards[0], shards[1], a, 0, b, 0,
-				LinkConfig{Delay: delay, RateBps: 1e6})
-			shards[0].After(0, func() { a.tx.Send(&Packet{Size: 1250, ID: 1}) })
-			shards[0].After(15*sim.Millisecond, func() { a.tx.Send(&Packet{Size: 1250, ID: 2}) })
-			s.Run(100 * sim.Millisecond)
-			return times
-		}
-		a := &sinkNode{name: "a", s: s}
-		b := &bouncer{times: &times, s: s}
-		Connect(s, a, 0, b, 0, LinkConfig{Delay: delay, RateBps: 1e6})
-		s.After(0, func() { a.tx.Send(&Packet{Size: 1250, ID: 1}) })
-		s.After(15*sim.Millisecond, func() { a.tx.Send(&Packet{Size: 1250, ID: 2}) })
-		s.Run(100 * sim.Millisecond)
-		return times
+// TestPingPongDeliveryTimes bounces two packets across one link and back
+// and requires the analytic delivery times: 1250 B at 1 Mbit/s is 10 ms of
+// serialization, plus 2 ms of propagation per hop. The second packet's
+// return queues behind nothing, so every hop costs exactly 12 ms.
+func TestPingPongDeliveryTimes(t *testing.T) {
+	s := sim.New(7)
+	var log []string
+	a := &bouncer{name: "a", s: s, log: &log}
+	b := &bouncer{name: "b", s: s, log: &log, bounce: true}
+	Connect(s, a, 0, b, 0, LinkConfig{Delay: 2 * sim.Millisecond, RateBps: 1e6})
+	s.After(0, func() { a.tx.Send(&Packet{Size: 1250, ID: 1}) })
+	s.After(15*sim.Millisecond, func() { a.tx.Send(&Packet{Size: 1250, ID: 2}) })
+	s.Run(100 * sim.Millisecond)
+	want := []string{
+		"b got 1 at 12ms",
+		"a got 1 at 24ms",
+		"b got 2 at 27ms",
+		"a got 2 at 39ms",
 	}
-	want := run(0)
-	if len(want) == 0 {
-		t.Fatal("classic run delivered nothing")
-	}
-	for _, w := range []int{1, 2} {
-		got := run(w)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d delivered %d, classic %d", w, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("workers=%d delivery %d at %v, classic %v", w, i, got[i], want[i])
-			}
-		}
+	if strings.Join(log, "\n") != strings.Join(want, "\n") {
+		t.Errorf("deliveries:\n%s\nwant:\n%s", strings.Join(log, "\n"), strings.Join(want, "\n"))
 	}
 }
 
-// bouncer records arrival times using its own shard's clock.
+// bouncer logs every arrival and, if bounce is set, sends the packet back.
 type bouncer struct {
-	name  string
-	s     *sim.Sim
-	tx    *LinkEnd
-	times *[]sim.Time
+	name   string
+	s      *sim.Sim
+	tx     *LinkEnd
+	log    *[]string
+	bounce bool
 }
 
 func (n *bouncer) Name() string                 { return n.name }
 func (n *bouncer) Attach(port int, tx *LinkEnd) { n.tx = tx }
 func (n *bouncer) Receive(pkt *Packet, port int) {
-	*n.times = append(*n.times, n.s.Now())
+	*n.log = append(*n.log, fmt.Sprintf("%s got %d at %v", n.name, pkt.ID, n.s.Now()))
+	if n.bounce {
+		n.tx.Send(pkt)
+	}
 }

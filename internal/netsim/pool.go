@@ -19,8 +19,8 @@ package netsim
 //     with a capture observer never recycle (capture_test inspects
 //     packets after the run).
 //
-// A pool is single-threaded, like the Sim it serves: in parallel runs use
-// one pool per shard, and for trial-level parallelism one pool per trial.
+// A pool is single-threaded, like the Sim it serves: trials that run in
+// parallel each use their own pool.
 type PacketPool struct {
 	free []*Packet
 

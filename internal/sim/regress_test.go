@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"strconv"
 	"testing"
+	"unsafe"
 )
 
 // Run used to clamp the clock to the horizon even when Stop ended the run
@@ -134,5 +136,16 @@ func TestPendingCountsStoppedCorrectly(t *testing.T) {
 	}
 	if s.Executed != 5 {
 		t.Fatalf("Executed = %d, want 5", s.Executed)
+	}
+}
+
+// The pooled event is five words on 64-bit platforms. Every queued event
+// pays for each field, so growing it should be a deliberate choice.
+func TestEventSize(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("layout pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(event{}); got != 40 {
+		t.Errorf("unsafe.Sizeof(event{}) = %d bytes, want 40", got)
 	}
 }

@@ -131,7 +131,7 @@ func Build(s *sim.Sim, spec Spec) (*Network, error) {
 // hosts without handlers) are recycled instead of garbage-collected. The
 // returned pool is what pooled traffic generators (traffic.UDPSource.Pool)
 // should draw from. Pools are single-threaded like the Sim; use one per
-// trial or per shard.
+// trial.
 func (n *Network) UsePool() *netsim.PacketPool {
 	p := netsim.NewPacketPool()
 	for _, l := range n.links {
