@@ -2,12 +2,16 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/hex"
+	"os"
+	"strings"
 	"testing"
 
 	"fancy/internal/fancy"
 	"fancy/internal/mgmt"
 	"fancy/internal/netsim"
 	"fancy/internal/sim"
+	"fancy/internal/verify"
 )
 
 // sampleCheckpoint builds a checkpoint exercising every encoded field.
@@ -48,6 +52,15 @@ func sampleCheckpoint() *Checkpoint {
 		Seq: map[string]mgmt.SeqState{
 			"agent-seattle": {Contig: 41, Above: []uint64{43, 45}},
 			"agent-denver":  {Contig: 12},
+		},
+		VerifyLog: []VerifyDecision{
+			{Key: "seattle>sunnyvale|1400000000|10", Outcome: verifyCommitted,
+				Frame: verify.EncodeDelta(verify.NewDelta("seattle>sunnyvale",
+					[]verify.Flip{verify.EntryFlip("seattle", 10, 2)}))},
+			{Key: "denver>kansascity|1200000000|3", Outcome: verifyRejected},
+		},
+		VerifyHeld: []HeldReroute{
+			{LinkKey: "denver>kansascity", Key: "denver>kansascity|1200000000|3", Entry: 3, Retries: 2},
 		},
 	}
 }
@@ -90,6 +103,36 @@ func TestWireRoundtrip(t *testing.T) {
 	}
 }
 
+// TestWireGolden pins the exact bytes of every sampleMsgs message against
+// testdata/consensus.golden (one hex line per message): the round-trip
+// tests cannot see an encoding change that is applied symmetrically to the
+// encoder and the decoder, and replicas of different builds must agree on
+// the bytes.
+func TestWireGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/consensus.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Fields(string(raw))
+	msgs := sampleMsgs()
+	if len(want) != len(msgs) {
+		t.Fatalf("golden file has %d messages, sampleMsgs has %d", len(want), len(msgs))
+	}
+	for i, m := range msgs {
+		b := encodeConsensus(m)
+		if got := hex.EncodeToString(b); got != want[i] {
+			t.Fatalf("msg %d (%v): encoding changed:\n got %s\nwant %s", i, m.Kind, got, want[i])
+		}
+		got, err := decodeConsensus(b)
+		if err != nil {
+			t.Fatalf("msg %d (%v): golden bytes rejected: %v", i, m.Kind, err)
+		}
+		if !bytes.Equal(encodeConsensus(got), b) {
+			t.Fatalf("msg %d (%v): golden bytes do not re-encode", i, m.Kind)
+		}
+	}
+}
+
 // TestWireEncodingDeterministic re-encodes the same state repeatedly: map
 // iteration order must never leak into the bytes.
 func TestWireEncodingDeterministic(t *testing.T) {
@@ -121,5 +164,19 @@ func TestWireRejects(t *testing.T) {
 	}
 	if _, err := decodeConsensus(nil); err == nil {
 		t.Fatal("accepted empty input")
+	}
+
+	withCp := func(cp *Checkpoint) []byte {
+		return encodeConsensus(&consMsg{Kind: consAccept, Entry: &logEntry{Cp: cp}})
+	}
+	cp := sampleCheckpoint()
+	cp.VerifyLog[0].Outcome = verifyOutcomeMax + 1
+	if _, err := decodeConsensus(withCp(cp)); err == nil {
+		t.Fatal("accepted verify outcome above verifyOutcomeMax")
+	}
+	cp = sampleCheckpoint()
+	cp.VerifyLog[0].Frame = append(cp.VerifyLog[0].Frame, 0) // trailing byte
+	if _, err := decodeConsensus(withCp(cp)); err == nil {
+		t.Fatal("accepted a verify frame that is not a canonical delta")
 	}
 }

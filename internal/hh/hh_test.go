@@ -1,6 +1,7 @@
 package hh
 
 import (
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -160,6 +161,34 @@ func TestReportRoundTrip(t *testing.T) {
 	got, err = DecodeReport(EncodeReport(empty))
 	if err != nil || !reflect.DeepEqual(empty, got) {
 		t.Fatalf("empty round trip: %v %+v", err, got)
+	}
+}
+
+// TestReportGolden pins the exact frame bytes of FuzzDecodeHHReport's seed
+// reports: the round-trip tests cannot see an encoding change that is
+// applied symmetrically to the encoder and the decoder.
+func TestReportGolden(t *testing.T) {
+	for i, c := range []struct {
+		rep *Report
+		hex string
+	}{
+		{&Report{Port: 1, Epoch: 2, Seq: 3}, "01010203000000"},
+		{&Report{
+			Port: 9, Epoch: 0, Seq: 77, Packets: 1e6, Recircs: 31,
+			Entries: []EntryCount{
+				{Entry: 5, Count: 900}, {Entry: 1, Count: 80},
+				{Entry: 2, Count: 80}, {Entry: netsim.EntryID(1<<32 - 1), Count: 1},
+			},
+		}, "0109004dc0843d1f0405840701500250ffffffff0f01"},
+	} {
+		b := EncodeReport(c.rep)
+		if got := hex.EncodeToString(b); got != c.hex {
+			t.Fatalf("report %d: encoding changed:\n got %s\nwant %s", i, got, c.hex)
+		}
+		got, err := DecodeReport(b)
+		if err != nil || !reflect.DeepEqual(got, c.rep) {
+			t.Fatalf("report %d: golden frame decodes to %+v, %v", i, got, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"encoding/hex"
 	"math/rand"
 	"strings"
 	"testing"
@@ -313,6 +314,38 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeDelta(nil); err == nil {
 		t.Fatal("empty frame must be rejected")
+	}
+}
+
+// TestDeltaGolden pins the exact frame bytes of FuzzDecodeVerifyDelta's
+// seed deltas: the round-trip tests cannot see an encoding change that is
+// applied symmetrically to the encoder and the decoder.
+func TestDeltaGolden(t *testing.T) {
+	for i, c := range []struct {
+		d   *Delta
+		hex string
+	}{
+		{&Delta{Link: "seattle->denver"},
+			"010f73656174746c652d3e64656e76657200"},
+		{NewDelta("atlanta->indianapolis", []Flip{EntryFlip("atlanta", 10, 2)}),
+			"011561746c616e74612d3e696e6469616e61706f6c6973010761746c616e746180141804"},
+		{NewDelta("houston->kansascity", []Flip{
+			EntryFlip("houston", 10, 0),
+			EntryFlip("atlanta", 10, 1),
+			{Switch: "houston", Addr: 0xac100002, Plen: 32, Port: 3},
+		}), "0113686f7573746f6e2d3e6b616e73617363697479030761746c616e74618014180207686f7573746f6e8014180007686f7573746f6e8280c0e00a2006"},
+	} {
+		b := EncodeDelta(c.d)
+		if got := hex.EncodeToString(b); got != c.hex {
+			t.Fatalf("delta %d: encoding changed:\n got %s\nwant %s", i, got, c.hex)
+		}
+		d, err := DecodeDelta(b)
+		if err != nil {
+			t.Fatalf("delta %d: golden frame rejected: %v", i, err)
+		}
+		if got := hex.EncodeToString(EncodeDelta(d)); got != c.hex {
+			t.Fatalf("delta %d: golden frame does not re-encode: %s", i, got)
+		}
 	}
 }
 
