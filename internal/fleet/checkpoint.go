@@ -169,10 +169,6 @@ func (f *Fleet) persist() {
 	}
 }
 
-// LastCheckpoint returns the most recent periodic checkpoint (nil before
-// the first checkpoint interval elapses).
-func (f *Fleet) LastCheckpoint() *Checkpoint { return f.lastCkpt }
-
 // CrashCorrelator fails the central correlator: all in-memory state since
 // the last checkpoint is lost, every pending timer and in-flight read is
 // abandoned, and — over a management network — inbound reports go

@@ -439,10 +439,6 @@ func New(s *sim.Sim, net *topo.Network, cfg Config) (*Fleet, error) {
 // network (as opposed to the perfect in-process channel).
 func (f *Fleet) MgmtEnabled() bool { return f.mgmtNet != nil }
 
-// MgmtNetwork exposes the management network for fault injection (nil in
-// legacy mode).
-func (f *Fleet) MgmtNetwork() *mgmt.Network { return f.mgmtNet }
-
 // PartitionSwitch cuts a switch's telemetry agent off the management
 // network; its detectors keep running and, if entries are protected there,
 // degraded-mode local protection takes over. No-op in legacy mode.

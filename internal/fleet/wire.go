@@ -5,18 +5,20 @@ package fleet
 // network (mgmt.DgramConsensus payloads).
 //
 // The in-process simulator could pass structs by pointer, but real replicas
-// exchange bytes — and bytes are what a fuzzer can attack. Encoding is
-// canonical: integers are varints (zigzag for signed), strings are
-// length-prefixed, maps are emitted in sorted key order, and absent
-// optionals are a zero flag byte — so identical states produce identical
-// bytes regardless of map iteration order, which same-seed transcript
-// determinism requires. Decoding is defensive: every length prefix is
-// bounds-checked against the remaining input before allocation, so
-// arbitrary input can produce an error but never a panic or a
-// multi-gigabyte allocation (see FuzzDecodeConsensus).
+// exchange bytes — and bytes are what a fuzzer can attack. The format is a
+// field list over wire.Writer/wire.Reader, which own the canonical rule
+// (minimal varints, 0/1 flags, length prefixes bounded by the remaining
+// input, ascending string sets), so arbitrary input can produce an error
+// but never a panic or a multi-gigabyte allocation (see
+// FuzzDecodeConsensus). This file adds what is specific to the log: maps
+// are emitted in sorted key order and absent optionals are a zero flag
+// byte, so identical states produce identical bytes regardless of map
+// iteration order, which same-seed transcript determinism requires; the
+// decoder also checks ascending keys and entry sets, verifyOutcomeMax and
+// that every VerifyLog frame is itself a canonical verify delta.
 
 import (
-	"encoding/binary"
+	"cmp"
 	"errors"
 	"sort"
 
@@ -25,6 +27,7 @@ import (
 	"fancy/internal/netsim"
 	"fancy/internal/sim"
 	"fancy/internal/verify"
+	"fancy/internal/wire"
 )
 
 // errWire rejects malformed consensus bytes.
@@ -93,157 +96,105 @@ type consMsg struct {
 
 // --- encoder ---
 
-type wbuf struct{ b []byte }
-
-func (w *wbuf) u64(v uint64)    { w.b = binary.AppendUvarint(w.b, v) }
-func (w *wbuf) i64(v int64)     { w.b = binary.AppendVarint(w.b, v) }
-func (w *wbuf) time(t sim.Time) { w.i64(int64(t)) }
-func (w *wbuf) byte(v byte)     { w.b = append(w.b, v) }
-func (w *wbuf) bool(v bool) {
-	if v {
-		w.byte(1)
-	} else {
-		w.byte(0)
-	}
-}
-func (w *wbuf) str(s string) {
-	w.u64(uint64(len(s)))
-	w.b = append(w.b, s...)
-}
-func (w *wbuf) strs(ss []string) {
-	w.u64(uint64(len(ss)))
-	for _, s := range ss {
-		w.str(s)
-	}
-}
-
 // encodeConsensus serializes a consensus message canonically.
 func encodeConsensus(m *consMsg) []byte {
-	w := &wbuf{b: make([]byte, 0, 64)}
-	w.byte(wireVersion)
-	w.byte(byte(m.Kind))
-	w.byte(m.From)
-	w.u64(m.Ballot)
-	w.u64(m.Index)
-	w.u64(m.AccBallot)
-	if m.Entry == nil {
-		w.bool(false)
-	} else {
-		w.bool(true)
+	w := &wire.Writer{B: make([]byte, 0, 64)}
+	w.Byte(wireVersion)
+	w.Byte(byte(m.Kind))
+	w.Byte(m.From)
+	w.U64(m.Ballot)
+	w.U64(m.Index)
+	w.U64(m.AccBallot)
+	w.Bool(m.Entry != nil)
+	if m.Entry != nil {
 		encodeEntry(w, m.Entry)
 	}
-	return w.b
+	return w.B
 }
 
-func encodeEntry(w *wbuf, e *logEntry) {
-	w.u64(e.Index)
-	w.u64(e.Ballot)
-	w.str(e.Note)
-	if e.Cp == nil {
-		w.bool(false)
-		return
-	}
-	w.bool(true)
-	encodeCheckpoint(w, e.Cp)
-}
-
-func encodeCheckpoint(w *wbuf, cp *Checkpoint) {
-	w.time(cp.Time)
-	w.i64(int64(cp.Alarms))
-	w.i64(int64(cp.Suppressed))
-	w.i64(int64(cp.Localizations))
-	w.i64(int64(cp.Reroutes))
-
-	w.u64(uint64(len(cp.Links)))
-	for _, key := range sortedKeys(cp.Links) {
-		w.str(key)
-		encodeLink(w, cp.Links[key])
-	}
-
-	w.u64(uint64(len(cp.RestartsSeen)))
-	for _, sw := range sortedKeys(cp.RestartsSeen) {
-		w.str(sw)
-		w.i64(int64(cp.RestartsSeen[sw]))
-	}
-	w.u64(uint64(len(cp.RestartObserved)))
-	for _, sw := range sortedKeys(cp.RestartObserved) {
-		w.str(sw)
-		w.time(cp.RestartObserved[sw])
-	}
-	w.u64(uint64(len(cp.EpochCur)))
-	for _, sw := range sortedKeys(cp.EpochCur) {
-		w.str(sw)
-		w.byte(cp.EpochCur[sw])
-	}
-	w.u64(uint64(len(cp.EpochPrev)))
-	for _, sw := range sortedKeys(cp.EpochPrev) {
-		w.str(sw)
-		w.byte(cp.EpochPrev[sw])
-	}
-	w.strs(cp.RerouteSeen)
-
-	w.u64(uint64(len(cp.Seq)))
-	for _, name := range sortedKeys(cp.Seq) {
-		st := cp.Seq[name]
-		w.str(name)
-		w.u64(st.Contig)
-		w.u64(uint64(len(st.Above)))
-		for _, s := range st.Above {
-			w.u64(s)
-		}
-	}
-
-	w.u64(uint64(len(cp.VerifyLog)))
-	for _, d := range cp.VerifyLog {
-		w.str(d.Key)
-		w.byte(d.Outcome)
-		w.u64(uint64(len(d.Frame)))
-		w.b = append(w.b, d.Frame...)
-	}
-	w.u64(uint64(len(cp.VerifyHeld)))
-	for _, h := range cp.VerifyHeld {
-		w.str(h.LinkKey)
-		w.str(h.Key)
-		w.u64(uint64(h.Entry))
-		w.i64(int64(h.Retries))
+func encodeEntry(w *wire.Writer, e *logEntry) {
+	w.U64(e.Index)
+	w.U64(e.Ballot)
+	w.Str(e.Note)
+	w.Bool(e.Cp != nil)
+	if e.Cp != nil {
+		encodeCheckpoint(w, e.Cp)
 	}
 }
 
-func encodeLink(w *wbuf, lc LinkCheckpoint) {
-	w.bool(lc.Localized)
-	w.time(lc.LocalizedAt)
-	w.u64(uint64(len(lc.Affected)))
-	for _, e := range lc.Affected {
-		w.u64(uint64(e))
-	}
-	w.i64(int64(lc.TreePaths))
-	w.i64(int64(lc.Alarms))
-	w.i64(int64(lc.Suppressed))
-	w.bool(lc.Flapping)
-	w.u64(uint64(len(lc.DownTimes)))
-	for _, t := range lc.DownTimes {
-		w.time(t)
-	}
-	w.bool(lc.VerdictPending)
-	w.time(lc.IncidentStart)
-	w.strs(lc.Seen)
-	w.u64(uint64(len(lc.Evidence)))
-	for _, ev := range lc.Evidence {
-		encodeEvidence(w, ev)
-	}
-	w.byte(byte(lc.LastHealth))
+func encodeCheckpoint(w *wire.Writer, cp *Checkpoint) {
+	putTime(w, cp.Time)
+	putInt(w, cp.Alarms)
+	putInt(w, cp.Suppressed)
+	putInt(w, cp.Localizations)
+	putInt(w, cp.Reroutes)
+	putMap(w, cp.Links, encodeLink)
+	putMap(w, cp.RestartsSeen, putInt)
+	putMap(w, cp.RestartObserved, putTime)
+	putMap(w, cp.EpochCur, (*wire.Writer).Byte)
+	putMap(w, cp.EpochPrev, (*wire.Writer).Byte)
+	w.Strs(cp.RerouteSeen)
+	putMap(w, cp.Seq, func(w *wire.Writer, st mgmt.SeqState) {
+		w.U64(st.Contig)
+		putList(w, st.Above, (*wire.Writer).U64)
+	})
+	putList(w, cp.VerifyLog, func(w *wire.Writer, d VerifyDecision) {
+		w.Str(d.Key)
+		w.Byte(d.Outcome)
+		w.Bytes(d.Frame)
+	})
+	putList(w, cp.VerifyHeld, func(w *wire.Writer, h HeldReroute) {
+		w.Str(h.LinkKey)
+		w.Str(h.Key)
+		putEntry(w, h.Entry)
+		putInt(w, h.Retries)
+	})
 }
 
-func encodeEvidence(w *wbuf, ev fancy.Event) {
-	w.time(ev.Time)
-	w.i64(int64(ev.Port))
-	w.byte(byte(ev.Kind))
-	w.u64(uint64(ev.Entry))
-	w.u64(uint64(len(ev.Path)))
-	for _, p := range ev.Path {
-		w.u64(uint64(p))
+func encodeLink(w *wire.Writer, lc LinkCheckpoint) {
+	w.Bool(lc.Localized)
+	putTime(w, lc.LocalizedAt)
+	putList(w, lc.Affected, putEntry)
+	putInt(w, lc.TreePaths)
+	putInt(w, lc.Alarms)
+	putInt(w, lc.Suppressed)
+	w.Bool(lc.Flapping)
+	putList(w, lc.DownTimes, putTime)
+	w.Bool(lc.VerdictPending)
+	putTime(w, lc.IncidentStart)
+	w.Strs(lc.Seen)
+	putList(w, lc.Evidence, encodeEvidence)
+	w.Byte(byte(lc.LastHealth))
+}
+
+func encodeEvidence(w *wire.Writer, ev fancy.Event) {
+	putTime(w, ev.Time)
+	putInt(w, ev.Port)
+	w.Byte(byte(ev.Kind))
+	putEntry(w, ev.Entry)
+	putList(w, ev.Path, func(w *wire.Writer, p uint16) { w.U64(uint64(p)) })
+	w.U64(ev.Diff)
+}
+
+func putInt(w *wire.Writer, v int)              { w.I64(int64(v)) }
+func putTime(w *wire.Writer, t sim.Time)        { w.I64(int64(t)) }
+func putEntry(w *wire.Writer, e netsim.EntryID) { w.U64(uint64(e)) }
+
+// putList writes a counted list.
+func putList[T any](w *wire.Writer, xs []T, put func(*wire.Writer, T)) {
+	w.U64(uint64(len(xs)))
+	for _, x := range xs {
+		put(w, x)
 	}
-	w.u64(ev.Diff)
+}
+
+// putMap writes a counted map in sorted key order (canonical encoding).
+func putMap[V any](w *wire.Writer, m map[string]V, put func(*wire.Writer, V)) {
+	w.U64(uint64(len(m)))
+	for _, k := range sortedKeys(m) {
+		w.Str(k)
+		put(w, m[k])
+	}
 }
 
 // sortedKeys returns a map's keys in sorted order (canonical encoding).
@@ -258,324 +209,151 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // --- decoder ---
 
-type rbuf struct {
-	b   []byte
-	bad bool
-}
-
-func (r *rbuf) fail() { r.bad = true }
-
-func (r *rbuf) u64() uint64 {
-	v, n := binary.Uvarint(r.b)
-	// n <= 0 is truncation/overflow; a zero final byte of a multi-byte
-	// varint is a non-minimal encoding our encoder never produces —
-	// rejecting it keeps "valid input" and "canonical input" the same set.
-	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *rbuf) i64() int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// u32 and u16 read range-checked narrow integers (a wider value would
-// silently truncate and break canonical re-encoding).
-func (r *rbuf) u32() uint32 {
-	v := r.u64()
-	if v > 0xffffffff {
-		r.fail()
-		return 0
-	}
-	return uint32(v)
-}
-
-func (r *rbuf) u16() uint16 {
-	v := r.u64()
-	if v > 0xffff {
-		r.fail()
-		return 0
-	}
-	return uint16(v)
-}
-
-func (r *rbuf) time() sim.Time { return sim.Time(r.i64()) }
-
-func (r *rbuf) byte() byte {
-	if len(r.b) < 1 {
-		r.fail()
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *rbuf) bool() bool {
-	switch r.byte() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		r.fail() // non-canonical flag byte
-		return false
-	}
-}
-
-// count reads a length prefix and bounds it by the remaining input (every
-// element costs at least one byte), so hostile prefixes cannot drive a
-// huge allocation.
-func (r *rbuf) count() int {
-	v := r.u64()
-	if r.bad || v > uint64(len(r.b)) {
-		r.fail()
-		return 0
-	}
-	return int(v)
-}
-
-func (r *rbuf) str() string {
-	n := r.count()
-	if r.bad {
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-// strs reads a sorted unique string set (Seen, RerouteSeen): the encoder
-// always emits these sorted, so an out-of-order or duplicate element marks
-// forged input.
-func (r *rbuf) strs() []string {
-	n := r.count()
-	if r.bad || n == 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < n && !r.bad; i++ {
-		s := r.str()
-		if i > 0 && s <= out[i-1] {
-			r.fail()
-			return nil
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-// key reads one sorted-map key, enforcing strictly ascending order against
-// the previous key (duplicates and shuffles are non-canonical).
-func (r *rbuf) key(i int, prev string) string {
-	k := r.str()
-	if i > 0 && k <= prev {
-		r.fail()
-	}
-	return k
-}
-
 // decodeConsensus parses a consensus message, rejecting malformed or
 // trailing bytes.
 func decodeConsensus(b []byte) (*consMsg, error) {
-	r := &rbuf{b: b}
-	if r.byte() != wireVersion {
+	r := wire.NewReader(b)
+	if r.Byte() != wireVersion {
 		return nil, errWire
 	}
-	m := &consMsg{}
-	k := r.byte()
-	if consKind(k) > consBeat {
+	m := &consMsg{Kind: consKind(r.Byte())}
+	if m.Kind > consBeat {
 		return nil, errWire
 	}
-	m.Kind = consKind(k)
-	m.From = r.byte()
-	m.Ballot = r.u64()
-	m.Index = r.u64()
-	m.AccBallot = r.u64()
-	if r.bool() {
+	m.From = r.Byte()
+	m.Ballot = r.U64()
+	m.Index = r.U64()
+	m.AccBallot = r.U64()
+	if r.Bool() {
 		m.Entry = decodeEntry(r)
 	}
-	if r.bad || len(r.b) != 0 {
+	if !r.Done() {
 		return nil, errWire
 	}
 	return m, nil
 }
 
-func decodeEntry(r *rbuf) *logEntry {
-	e := &logEntry{}
-	e.Index = r.u64()
-	e.Ballot = r.u64()
-	e.Note = r.str()
-	if r.bool() {
+func decodeEntry(r *wire.Reader) *logEntry {
+	e := &logEntry{Index: r.U64(), Ballot: r.U64(), Note: r.Str()}
+	if r.Bool() {
 		e.Cp = decodeCheckpoint(r)
 	}
 	return e
 }
 
-func decodeCheckpoint(r *rbuf) *Checkpoint {
-	cp := &Checkpoint{}
-	cp.Time = r.time()
-	cp.Alarms = int(r.i64())
-	cp.Suppressed = int(r.i64())
-	cp.Localizations = int(r.i64())
-	cp.Reroutes = int(r.i64())
-
-	if n := r.count(); n > 0 {
-		cp.Links = make(map[string]LinkCheckpoint, n)
-		prev := ""
-		for i := 0; i < n && !r.bad; i++ {
-			prev = r.key(i, prev)
-			cp.Links[prev] = decodeLink(r)
-		}
-	}
-	if n := r.count(); n > 0 {
-		cp.RestartsSeen = make(map[string]int, n)
-		prev := ""
-		for i := 0; i < n && !r.bad; i++ {
-			prev = r.key(i, prev)
-			cp.RestartsSeen[prev] = int(r.i64())
-		}
-	}
-	if n := r.count(); n > 0 {
-		cp.RestartObserved = make(map[string]sim.Time, n)
-		prev := ""
-		for i := 0; i < n && !r.bad; i++ {
-			prev = r.key(i, prev)
-			cp.RestartObserved[prev] = r.time()
-		}
-	}
-	if n := r.count(); n > 0 {
-		cp.EpochCur = make(map[string]uint8, n)
-		prev := ""
-		for i := 0; i < n && !r.bad; i++ {
-			prev = r.key(i, prev)
-			cp.EpochCur[prev] = r.byte()
-		}
-	}
-	if n := r.count(); n > 0 {
-		cp.EpochPrev = make(map[string]uint8, n)
-		prev := ""
-		for i := 0; i < n && !r.bad; i++ {
-			prev = r.key(i, prev)
-			cp.EpochPrev[prev] = r.byte()
-		}
-	}
-	cp.RerouteSeen = r.strs()
-
-	if n := r.count(); n > 0 {
-		cp.Seq = make(map[string]mgmt.SeqState, n)
-		prev := ""
-		for i := 0; i < n && !r.bad; i++ {
-			prev = r.key(i, prev)
-			st := mgmt.SeqState{Contig: r.u64()}
-			if a := r.count(); a > 0 {
-				st.Above = make([]uint64, 0, a)
-				for j := 0; j < a && !r.bad; j++ {
-					s := r.u64()
-					if j > 0 && s <= st.Above[j-1] {
-						r.fail()
-						break
-					}
-					st.Above = append(st.Above, s)
-				}
-			}
-			cp.Seq[prev] = st
-		}
-	}
-
-	if n := r.count(); n > 0 {
-		for i := 0; i < n && !r.bad; i++ {
-			d := VerifyDecision{Key: r.str(), Outcome: r.byte()}
+// decodeCheckpoint, decodeLink and decodeEvidence list fields in wire
+// order: Go evaluates the calls in a composite literal left to right.
+func decodeCheckpoint(r *wire.Reader) *Checkpoint {
+	return &Checkpoint{
+		Time:            getTime(r),
+		Alarms:          getInt(r),
+		Suppressed:      getInt(r),
+		Localizations:   getInt(r),
+		Reroutes:        getInt(r),
+		Links:           getMap(r, decodeLink),
+		RestartsSeen:    getMap(r, getInt),
+		RestartObserved: getMap(r, getTime),
+		EpochCur:        getMap(r, (*wire.Reader).Byte),
+		EpochPrev:       getMap(r, (*wire.Reader).Byte),
+		RerouteSeen:     r.Strs(),
+		Seq: getMap(r, func(r *wire.Reader) mgmt.SeqState {
+			return mgmt.SeqState{Contig: r.U64(), Above: ascending(r, getList(r, (*wire.Reader).U64))}
+		}),
+		VerifyLog: getList(r, func(r *wire.Reader) VerifyDecision {
+			d := VerifyDecision{Key: r.Str(), Outcome: r.Byte(), Frame: r.Bytes()}
 			if d.Outcome > verifyOutcomeMax {
-				r.fail()
-				break
+				r.Fail()
 			}
-			if fn := r.count(); fn > 0 && !r.bad {
-				d.Frame = append([]byte(nil), r.b[:fn]...)
-				r.b = r.b[fn:]
-				// A frame must itself be a canonical delta; a forged or
-				// corrupted frame would otherwise be replayed into the
-				// verifier model after a failover.
+			// A frame must itself be a canonical delta; a forged or
+			// corrupted frame would otherwise be replayed into the
+			// verifier model after a failover.
+			if len(d.Frame) > 0 {
 				if _, err := verify.DecodeDelta(d.Frame); err != nil {
-					r.fail()
-					break
+					r.Fail()
 				}
 			}
-			cp.VerifyLog = append(cp.VerifyLog, d)
-		}
+			return d
+		}),
+		VerifyHeld: getList(r, func(r *wire.Reader) HeldReroute {
+			return HeldReroute{LinkKey: r.Str(), Key: r.Str(), Entry: getEntry(r), Retries: getInt(r)}
+		}),
 	}
-	if n := r.count(); n > 0 {
-		for i := 0; i < n && !r.bad; i++ {
-			cp.VerifyHeld = append(cp.VerifyHeld, HeldReroute{
-				LinkKey: r.str(),
-				Key:     r.str(),
-				Entry:   netsim.EntryID(r.u32()),
-				Retries: int(r.i64()),
-			})
-		}
-	}
-	return cp
 }
 
-func decodeLink(r *rbuf) LinkCheckpoint {
-	var lc LinkCheckpoint
-	lc.Localized = r.bool()
-	lc.LocalizedAt = r.time()
-	if n := r.count(); n > 0 {
-		lc.Affected = make([]netsim.EntryID, 0, n)
-		for i := 0; i < n && !r.bad; i++ {
-			e := netsim.EntryID(r.u32())
-			if i > 0 && e <= lc.Affected[i-1] {
-				r.fail()
-				break
-			}
-			lc.Affected = append(lc.Affected, e)
-		}
+func decodeLink(r *wire.Reader) LinkCheckpoint {
+	return LinkCheckpoint{
+		Localized:      r.Bool(),
+		LocalizedAt:    getTime(r),
+		Affected:       ascending(r, getList(r, getEntry)),
+		TreePaths:      getInt(r),
+		Alarms:         getInt(r),
+		Suppressed:     getInt(r),
+		Flapping:       r.Bool(),
+		DownTimes:      getList(r, getTime),
+		VerdictPending: r.Bool(),
+		IncidentStart:  getTime(r),
+		Seen:           r.Strs(),
+		Evidence:       getList(r, decodeEvidence),
+		LastHealth:     Health(r.Byte()),
 	}
-	lc.TreePaths = int(r.i64())
-	lc.Alarms = int(r.i64())
-	lc.Suppressed = int(r.i64())
-	lc.Flapping = r.bool()
-	if n := r.count(); n > 0 {
-		lc.DownTimes = make([]sim.Time, 0, n)
-		for i := 0; i < n && !r.bad; i++ {
-			lc.DownTimes = append(lc.DownTimes, r.time())
-		}
-	}
-	lc.VerdictPending = r.bool()
-	lc.IncidentStart = r.time()
-	lc.Seen = r.strs()
-	if n := r.count(); n > 0 {
-		lc.Evidence = make([]fancy.Event, 0, n)
-		for i := 0; i < n && !r.bad; i++ {
-			lc.Evidence = append(lc.Evidence, decodeEvidence(r))
-		}
-	}
-	lc.LastHealth = Health(r.byte())
-	return lc
 }
 
-func decodeEvidence(r *rbuf) fancy.Event {
-	var ev fancy.Event
-	ev.Time = r.time()
-	ev.Port = int(r.i64())
-	ev.Kind = fancy.EventKind(r.byte())
-	ev.Entry = netsim.EntryID(r.u32())
-	if n := r.count(); n > 0 {
-		ev.Path = make([]uint16, 0, n)
-		for i := 0; i < n && !r.bad; i++ {
-			ev.Path = append(ev.Path, r.u16())
+func decodeEvidence(r *wire.Reader) fancy.Event {
+	return fancy.Event{
+		Time:  getTime(r),
+		Port:  getInt(r),
+		Kind:  fancy.EventKind(r.Byte()),
+		Entry: getEntry(r),
+		Path:  getList(r, (*wire.Reader).U16),
+		Diff:  r.U64(),
+	}
+}
+
+func getInt(r *wire.Reader) int              { return int(r.I64()) }
+func getTime(r *wire.Reader) sim.Time        { return sim.Time(r.I64()) }
+func getEntry(r *wire.Reader) netsim.EntryID { return netsim.EntryID(r.U32()) }
+
+// getList reads what putList wrote (nil when empty).
+func getList[T any](r *wire.Reader, get func(*wire.Reader) T) []T {
+	n := r.Count()
+	if n == 0 {
+		return nil
+	}
+	xs := make([]T, 0, n)
+	for i := 0; i < n && !r.Failed(); i++ {
+		xs = append(xs, get(r))
+	}
+	return xs
+}
+
+// getMap reads what putMap wrote (nil when empty). Keys must be strictly
+// ascending: duplicates and shuffles are non-canonical.
+func getMap[V any](r *wire.Reader, get func(*wire.Reader) V) map[string]V {
+	n := r.Count()
+	if n == 0 {
+		return nil
+	}
+	m := make(map[string]V, n)
+	prev := ""
+	for i := 0; i < n && !r.Failed(); i++ {
+		k := r.Str()
+		if i > 0 && k <= prev {
+			r.Fail()
+		}
+		m[k] = get(r)
+		prev = k
+	}
+	return m
+}
+
+// ascending fails r unless xs is strictly ascending: the encoder emits
+// these sets sorted, so a duplicate or out-of-order element marks forged
+// input.
+func ascending[T cmp.Ordered](r *wire.Reader, xs []T) []T {
+	for i := 1; i < len(xs); i++ {
+		if xs[i] <= xs[i-1] {
+			r.Fail()
 		}
 	}
-	ev.Diff = r.u64()
-	return ev
+	return xs
 }

@@ -1,19 +1,21 @@
 package hh
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"fancy/internal/netsim"
+	"fancy/internal/wire"
 )
 
 // Report is one periodic top-k digest from a port's heavy-hitter stage,
-// carried from the dataplane to the switch agent. The wire format follows
-// the fleet codec discipline: version-tagged, minimal varints only, strict
-// canonical ordering, no trailing bytes — a report that does not decode to
-// exactly its canonical encoding is rejected, so the allocator can never
-// be steered by a malformed or ambiguous frame.
+// carried from the dataplane to the switch agent. The frame is a
+// version-tagged field list over wire.Writer/wire.Reader, which own the
+// canonical rule (minimal varints, range-checked fields, bounded lengths, no
+// trailing bytes); this file adds the entry cap and the canonical entry
+// order. A report that does not decode to exactly its canonical encoding is
+// rejected, so the allocator can never be steered by a malformed or
+// ambiguous frame.
 type Report struct {
 	Port    uint16
 	Epoch   uint8  // detector wire epoch when the window closed
@@ -33,102 +35,44 @@ const maxReportEntries = 4096
 
 // EncodeReport serializes r in canonical form.
 func EncodeReport(r *Report) []byte {
-	b := make([]byte, 0, 16+8*len(r.Entries))
-	b = append(b, reportVersion)
-	b = binary.AppendUvarint(b, uint64(r.Port))
-	b = append(b, r.Epoch)
-	b = binary.AppendUvarint(b, uint64(r.Seq))
-	b = binary.AppendUvarint(b, r.Packets)
-	b = binary.AppendUvarint(b, r.Recircs)
-	b = binary.AppendUvarint(b, uint64(len(r.Entries)))
+	w := &wire.Writer{B: make([]byte, 0, 16+8*len(r.Entries))}
+	w.Byte(reportVersion)
+	w.U64(uint64(r.Port))
+	w.Byte(r.Epoch)
+	w.U64(uint64(r.Seq))
+	w.U64(r.Packets)
+	w.U64(r.Recircs)
+	w.U64(uint64(len(r.Entries)))
 	for _, ec := range r.Entries {
-		b = binary.AppendUvarint(b, uint64(ec.Entry))
-		b = binary.AppendUvarint(b, uint64(ec.Count))
+		w.U64(uint64(ec.Entry))
+		w.U64(uint64(ec.Count))
 	}
-	return b
+	return w.B
 }
 
 var errBadReport = errors.New("hh: malformed report")
-
-// rrbuf is the defensive reader: any violation (short buffer, non-minimal
-// varint, range overflow) latches bad and zero-fills from then on.
-type rrbuf struct {
-	b   []byte
-	bad bool
-}
-
-func (r *rrbuf) fail() uint64 {
-	r.bad = true
-	return 0
-}
-
-func (r *rrbuf) u64() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		return r.fail()
-	}
-	// Reject non-minimal encodings: a multi-byte varint must not end in a
-	// zero continuation payload byte.
-	if n > 1 && r.b[n-1] == 0 {
-		return r.fail()
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *rrbuf) u32() uint32 {
-	v := r.u64()
-	if v > 1<<32-1 {
-		return uint32(r.fail())
-	}
-	return uint32(v)
-}
-
-func (r *rrbuf) u16() uint16 {
-	v := r.u64()
-	if v > 1<<16-1 {
-		return uint16(r.fail())
-	}
-	return uint16(v)
-}
-
-func (r *rrbuf) byte() byte {
-	if len(r.b) == 0 {
-		return byte(r.fail())
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *rrbuf) count() int {
-	v := r.u64()
-	// Each entry costs at least two bytes on the wire; a count that
-	// cannot fit the remaining buffer is garbage, not a big report.
-	if v > maxReportEntries || v > uint64(len(r.b)) {
-		return int(r.fail())
-	}
-	return int(v)
-}
 
 // DecodeReport parses and validates a canonical report frame.
 func DecodeReport(b []byte) (*Report, error) {
 	if len(b) == 0 || b[0] != reportVersion {
 		return nil, fmt.Errorf("%w: bad version", errBadReport)
 	}
-	r := &rrbuf{b: b[1:]}
+	r := wire.NewReader(b[1:])
 	rep := &Report{
-		Port:    r.u16(),
-		Epoch:   r.byte(),
-		Seq:     r.u32(),
-		Packets: r.u64(),
-		Recircs: r.u64(),
+		Port:    r.U16(),
+		Epoch:   r.Byte(),
+		Seq:     r.U32(),
+		Packets: r.U64(),
+		Recircs: r.U64(),
 	}
-	n := r.count()
+	n := r.Count()
+	if n > maxReportEntries {
+		r.Fail()
+	}
 	var prev EntryCount
 	for i := 0; i < n; i++ {
-		ec := EntryCount{Entry: netsim.EntryID(r.u32()), Count: r.u32()}
-		if r.bad {
+		ec := EntryCount{Entry: netsim.EntryID(r.U32()), Count: r.U32()}
+		if r.Failed() {
 			break
 		}
 		// Enforce the canonical order: strictly descending by count,
@@ -141,7 +85,7 @@ func DecodeReport(b []byte) (*Report, error) {
 		rep.Entries = append(rep.Entries, ec)
 		prev = ec
 	}
-	if r.bad || len(r.b) != 0 {
+	if !r.Done() {
 		return nil, errBadReport
 	}
 	return rep, nil

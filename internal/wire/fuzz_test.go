@@ -128,3 +128,91 @@ func FuzzParseTag(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCanonical drives the canonical Reader with an arbitrary sequence of
+// reads (each op byte picks one) over arbitrary bytes. No input may panic;
+// a failed read and every read after it must return the zero value; string
+// sets must come back strictly ascending; and whenever the sequence ends
+// in Done, writing the values back through Writer must reproduce the input
+// exactly — the property the fleet, verify and hh formats inherit.
+func FuzzCanonical(f *testing.F) {
+	every := &Writer{}
+	every.Byte(7)
+	every.Bool(true)
+	every.U64(300)
+	every.I64(-5)
+	every.U64(1<<32 - 1)
+	every.U64(1<<16 - 1)
+	every.U64(0)
+	every.Str("ab")
+	every.Strs([]string{"a", "b"})
+	every.Bytes([]byte{0, 1})
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, every.B)
+	f.Add([]byte{2}, []byte{0x80, 0x00})             // non-minimal varint
+	f.Add([]byte{2}, bytes.Repeat([]byte{0xff}, 11)) // overflow
+	f.Add([]byte{1}, []byte{2})                      // flag byte other than 0/1
+	f.Add([]byte{4, 5}, []byte{0x80, 0x80, 0x80, 0x80, 0x10, 0x80, 0x80, 0x04})
+	f.Add([]byte{8}, []byte{2, 1, 'b', 1, 'a'}) // descending set
+	f.Add([]byte{7, 0}, []byte{5, 'a'})         // length beyond the input
+
+	f.Fuzz(func(t *testing.T, ops, data []byte) {
+		r := NewReader(data)
+		w := &Writer{}
+		for i, op := range ops {
+			var zero bool
+			switch op % 10 {
+			case 0:
+				v := r.Byte()
+				w.Byte(v)
+				zero = v == 0
+			case 1:
+				v := r.Bool()
+				w.Bool(v)
+				zero = !v
+			case 2:
+				v := r.U64()
+				w.U64(v)
+				zero = v == 0
+			case 3:
+				v := r.I64()
+				w.I64(v)
+				zero = v == 0
+			case 4:
+				v := r.U32()
+				w.U64(uint64(v))
+				zero = v == 0
+			case 5:
+				v := r.U16()
+				w.U64(uint64(v))
+				zero = v == 0
+			case 6:
+				v := r.Count()
+				w.U64(uint64(v))
+				zero = v == 0
+			case 7:
+				v := r.Str()
+				w.Str(v)
+				zero = v == ""
+			case 8:
+				v := r.Strs()
+				for j := 1; j < len(v); j++ {
+					if v[j] <= v[j-1] {
+						t.Fatalf("op %d: Strs returned %q, not strictly ascending", i, v)
+					}
+				}
+				w.Strs(v)
+				zero = v == nil
+			case 9:
+				v := r.Bytes()
+				w.Bytes(v)
+				zero = v == nil
+			}
+			if r.Failed() && !zero {
+				t.Fatalf("op %d (%d) returned a non-zero value on or after a failure", i, op%10)
+			}
+		}
+		if r.Done() && !bytes.Equal(w.B, data) {
+			t.Fatalf("accepted non-canonical input:\n in: %x\nout: %x", data, w.B)
+		}
+	})
+}
